@@ -2,6 +2,7 @@ package continuous
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"casper/internal/geom"
@@ -29,12 +30,20 @@ func benchCloak(p geom.Point, half float64) geom.Rect {
 // private-data radius. It returns the monitor and a pre-generated
 // update trace (8 mobgen ticks, cloaked) for the measured loop, so
 // trace generation stays off the benchmark clock.
-func benchMonitor(b *testing.B, cfg Config, nQueries, nObjects int) (*Monitor, []PrivateUpdate) {
+//
+// scale shrinks the whole geometry except the map: every length (query
+// rects, NN cloaks, radius, the users' cloaks) is multiplied by it and
+// the public objects are 1/scale² times as many, so their spacing, and
+// with it each NN query's interest region, shrinks by the same factor.
+// An update then meets each query with probability ∝ scale², so with
+// scale² ∝ 1/nQueries the expected matches per update stay fixed.
+func benchMonitor(b *testing.B, cfg Config, nQueries, nObjects int, scale float64) (*Monitor, []PrivateUpdate) {
 	b.Helper()
 	m := NewMonitor(cfg)
 	b.Cleanup(m.Close)
 
-	pts := mobgen.UniformPoints(world, 2000, 7)
+	area := scale * scale
+	pts := mobgen.UniformPoints(world, int(math.Round(2000/area)), 7)
 	pub := make([]rtree.Item, len(pts))
 	for i, p := range pts {
 		pub[i] = rtree.Item{ID: int64(i), Rect: geom.R(p.X, p.Y, p.X, p.Y)}
@@ -45,14 +54,14 @@ func benchMonitor(b *testing.B, cfg Config, nQueries, nObjects int) (*Monitor, [
 	buf := make([]mobgen.Update, 0, nObjects)
 	seed := make([]PrivateUpdate, 0, nObjects)
 	for _, u := range gen.PositionsInto(buf) {
-		seed = append(seed, PrivateUpdate{ID: u.ID, Region: benchCloak(u.Pos, 60)})
+		seed = append(seed, PrivateUpdate{ID: u.ID, Region: benchCloak(u.Pos, 60*scale)})
 	}
 	if err := m.ApplyUpdates(seed); err != nil {
 		b.Fatal(err)
 	}
 
-	rects := mobgen.UniformRects(world, nQueries, 10_000, 640_000, 23)
-	cloaks := mobgen.UniformRects(world, nQueries, 40_000, 160_000, 29)
+	rects := mobgen.UniformRects(world, nQueries, 10_000*area, 640_000*area, 23)
+	cloaks := mobgen.UniformRects(world, nQueries, 40_000*area, 160_000*area, 29)
 	for i := 0; i < nQueries; i++ {
 		var err error
 		switch {
@@ -61,7 +70,7 @@ func benchMonitor(b *testing.B, cfg Config, nQueries, nObjects int) (*Monitor, [
 		case i%20 < 19:
 			_, _, err = m.RegisterNN(cloaks[i], privacyqp.PublicData, privacyqp.DefaultOptions(), -1)
 		default:
-			_, _, err = m.RegisterRadius(cloaks[i], 500, privacyqp.PrivateData, -1)
+			_, _, err = m.RegisterRadius(cloaks[i], 500*scale, privacyqp.PrivateData, -1)
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -72,7 +81,7 @@ func benchMonitor(b *testing.B, cfg Config, nQueries, nObjects int) (*Monitor, [
 	trace := make([]PrivateUpdate, 0, ticks*nObjects)
 	for t := 0; t < ticks; t++ {
 		for _, u := range gen.StepInto(5, buf) {
-			trace = append(trace, PrivateUpdate{ID: u.ID, Region: benchCloak(u.Pos, 60)})
+			trace = append(trace, PrivateUpdate{ID: u.ID, Region: benchCloak(u.Pos, 60*scale)})
 		}
 	}
 	return m, trace
@@ -85,7 +94,7 @@ func benchMonitor(b *testing.B, cfg Config, nQueries, nObjects int) (*Monitor, [
 func BenchmarkMonitorLinearBaseline(b *testing.B) {
 	for _, q := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("q%d", q), func(b *testing.B) {
-			m, trace := benchMonitor(b, Config{LinearScan: true, SafeRegionFrac: -1}, q, 2048)
+			m, trace := benchMonitor(b, Config{LinearScan: true, SafeRegionFrac: -1}, q, 2048, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -99,12 +108,32 @@ func BenchmarkMonitorLinearBaseline(b *testing.B) {
 }
 
 // BenchmarkMonitorIndexedUpdate is the per-update hot path with the
-// standing queries spatially indexed: cost scales with the number of
-// matching queries, not the number registered.
+// standing queries spatially indexed: an update visits only the queries
+// whose interest region it meets, never the rest of those registered.
+// Here every query keeps its size as q grows, so the matches per update
+// (the matches/update metric) grow in proportion to q, and that growth,
+// not the shadow-table write, is what the q1000 -> q100000 curve
+// measures. BenchmarkMonitorIndexedUpdateFixedMatches holds the matches
+// constant instead.
 func BenchmarkMonitorIndexedUpdate(b *testing.B) {
+	benchIndexedUpdate(b, func(int) float64 { return 1 })
+}
+
+// BenchmarkMonitorIndexedUpdateFixedMatches is
+// BenchmarkMonitorIndexedUpdate with every area of the geometry shrunk
+// as 1/q (see benchMonitor's scale), so the matches per update stay
+// about constant while q grows 100x: what is left of the growth is the
+// cost of the indexes themselves.
+func BenchmarkMonitorIndexedUpdateFixedMatches(b *testing.B) {
+	benchIndexedUpdate(b, func(q int) float64 { return math.Sqrt(1000 / float64(q)) })
+}
+
+// benchIndexedUpdate runs one indexed-update curve over 1k/10k/100k
+// standing queries, sizing the queries at each q by scale(q).
+func benchIndexedUpdate(b *testing.B, scale func(q int) float64) {
 	for _, q := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("q%d", q), func(b *testing.B) {
-			m, trace := benchMonitor(b, Config{}, q, 2048)
+			m, trace := benchMonitor(b, Config{}, q, 2048, scale(q))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -113,8 +142,23 @@ func BenchmarkMonitorIndexedUpdate(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			b.ReportMetric(meanMatches(m, trace), "matches/update")
 		})
 	}
+}
+
+// meanMatches is the mean number of standing queries whose interest
+// region meets an update's region, over the first 1024 updates of
+// trace. Only the benchmark goroutine touches the monitor here, so the
+// stripe locks are not taken.
+func meanMatches(m *Monitor, trace []PrivateUpdate) float64 {
+	trace = trace[:min(len(trace), 1024)]
+	matches := 0
+	for _, u := range trace {
+		m.forMatching(u.Region, func(*query) { matches++ })
+	}
+	return float64(matches) / float64(len(trace))
 }
 
 // BenchmarkMonitorBatchIngest measures ApplyUpdates amortization: one
@@ -123,7 +167,7 @@ func BenchmarkMonitorIndexedUpdate(b *testing.B) {
 // BenchmarkMonitorIndexedUpdate.
 func BenchmarkMonitorBatchIngest(b *testing.B) {
 	const batchSize = 256
-	m, trace := benchMonitor(b, Config{}, 10000, 2048)
+	m, trace := benchMonitor(b, Config{}, 10000, 2048, 1)
 	nBatches := len(trace) / batchSize
 	ticks0, total0 := m.ApplyStats()
 	b.ReportAllocs()
@@ -156,7 +200,7 @@ func BenchmarkMonitorBatchIngest(b *testing.B) {
 func BenchmarkMonitorNNRecloak(b *testing.B) {
 	const nAskers = 64
 	run := func(b *testing.B, cfg Config) {
-		m, _ := benchMonitor(b, cfg, 1000, 1024)
+		m, _ := benchMonitor(b, cfg, 1000, 1024, 1)
 		gen := mobgen.New(benchNet, mobgen.DefaultConfig(nAskers, 31))
 		watches := make([]QueryID, nAskers)
 		for i, u := range gen.Positions() {

@@ -17,7 +17,10 @@
 //
 // The tree is not safe for concurrent mutation; readers may run
 // concurrently with each other. Callers that interleave writes and
-// reads must serialize externally (internal/server does so).
+// reads must serialize externally, or write to a Clone and publish it
+// (internal/server does the latter). Clone is O(1) and re-stamps the
+// source's owner token, so two Clones of one tree must not run
+// concurrently; readers of the source are unaffected.
 package rtree
 
 import (
@@ -69,19 +72,34 @@ func (m Metric) DistTo(q geom.Point, r geom.Rect) float64 {
 }
 
 // Tree is an R-tree. The zero value is not usable; call New.
+//
+// Trees are copy-on-write. Every node carries the owner token of the
+// tree that created it, and a tree mutates only nodes bearing its own
+// token: Insert and Delete copy each node on their root-to-leaf path
+// that another tree owns, so after a Clone a write costs one path copy.
 type Tree struct {
 	root       *node
 	size       int
 	maxEntries int
 	minEntries int
+	owner      *owner
 }
+
+// owner is a tree's copy-on-write token; only its address matters. It
+// is not zero-sized, so two live tokens never share an address.
+type owner struct{ _ byte }
 
 type node struct {
 	mbr      geom.Rect
 	leaf     bool
+	owner    *owner
 	items    []Item  // leaf only
 	children []*node // internal only
 }
+
+// pathBuf sizes the on-stack buffers for root-to-leaf paths; deeper
+// trees still work, their paths just spill to the heap.
+const pathBuf = 16
 
 // New returns an empty tree with the default node capacity.
 func New() *Tree { return NewWithCapacity(defaultMaxEntries) }
@@ -92,10 +110,12 @@ func NewWithCapacity(maxEntries int) *Tree {
 	if maxEntries < 4 {
 		panic(fmt.Sprintf("rtree: capacity %d too small (need >= 4)", maxEntries))
 	}
+	o := new(owner)
 	return &Tree{
-		root:       &node{leaf: true},
+		root:       &node{leaf: true, owner: o},
 		maxEntries: maxEntries,
 		minEntries: maxEntries * 2 / 5,
+		owner:      o,
 	}
 }
 
@@ -111,94 +131,93 @@ func (t *Tree) Bounds() (geom.Rect, bool) {
 	return t.root.mbr, true
 }
 
+// mutable returns n when t owns it, and otherwise a copy stamped with
+// t's token. The copy gets entry slices of its own, with room for one
+// more entry, so appends and in-place removals never reach the node it
+// was copied from.
+func (t *Tree) mutable(n *node) *node {
+	if n.owner == t.owner {
+		return n
+	}
+	c := &node{mbr: n.mbr, leaf: n.leaf, owner: t.owner}
+	if n.leaf {
+		c.items = append(make([]Item, 0, len(n.items)+1), n.items...)
+	} else {
+		c.children = append(make([]*node, 0, len(n.children)+1), n.children...)
+	}
+	return c
+}
+
 // Insert adds an item. Duplicate IDs are allowed (the tree is a
 // multiset); Delete removes by (ID, Rect) match.
 func (t *Tree) Insert(it Item) {
 	if !it.Rect.IsValid() {
 		panic(fmt.Sprintf("rtree: inserting invalid rect %v", it.Rect))
 	}
-	leaf := t.chooseLeaf(t.root, it.Rect)
-	leaf.items = append(leaf.items, it)
-	leaf.mbr = leaf.mbr.Union(it.Rect)
-	if len(leaf.items) == 1 {
+	var buf [pathBuf]*node
+	path := t.chooseLeaf(it.Rect, buf[:0])
+	leaf := path[len(path)-1]
+	if len(leaf.items) == 0 {
 		leaf.mbr = it.Rect
+	} else {
+		leaf.mbr = leaf.mbr.Union(it.Rect)
 	}
+	leaf.items = append(leaf.items, it)
 	t.size++
-	t.splitUpward(leaf)
+	t.splitUpward(path)
 }
 
 // chooseLeaf descends to the leaf whose MBR needs least enlargement to
-// absorb r, breaking ties by smaller area (Guttman's ChooseLeaf).
-func (t *Tree) chooseLeaf(n *node, r geom.Rect) *node {
-	path := []*node{}
+// absorb r, breaking ties by smaller area (Guttman's ChooseLeaf). Every
+// node on the way is made mutable and internal ones grow to cover r, so
+// splits see fresh bounds. It appends the root-to-leaf path to path.
+func (t *Tree) chooseLeaf(r geom.Rect, path []*node) []*node {
+	t.root = t.mutable(t.root)
+	n := t.root
 	for !n.leaf {
+		n.mbr = n.mbr.Union(r)
 		path = append(path, n)
-		best := n.children[0]
-		bestEnl, bestArea := enlargement(best.mbr, r), best.mbr.Area()
-		for _, c := range n.children[1:] {
+		bi := 0
+		bestEnl, bestArea := enlargement(n.children[0].mbr, r), n.children[0].mbr.Area()
+		for i, c := range n.children[1:] {
 			enl := enlargement(c.mbr, r)
 			area := c.mbr.Area()
 			if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-				best, bestEnl, bestArea = c, enl, area
+				bi, bestEnl, bestArea = i+1, enl, area
 			}
 		}
-		n = best
+		c := t.mutable(n.children[bi])
+		n.children[bi] = c
+		n = c
 	}
-	// Grow MBRs along the path eagerly so splits see fresh bounds.
-	for _, p := range path {
-		p.mbr = p.mbr.Union(r)
-	}
-	return n
+	return append(path, n)
 }
 
 func enlargement(mbr, r geom.Rect) float64 {
 	return mbr.Union(r).Area() - mbr.Area()
 }
 
-// splitUpward splits n if overfull and propagates splits to the root.
-func (t *Tree) splitUpward(n *node) {
-	if n.count() <= t.maxEntries {
-		return
-	}
-	// Find the path from root to n so we can attach split siblings.
-	var path []*node
-	if !findPath(t.root, n, &path) && n != t.root {
-		panic("rtree: node not reachable from root")
-	}
-	for n.count() > t.maxEntries {
-		sib := t.splitNode(n)
-		if n == t.root {
-			newRoot := &node{
-				leaf:     false,
-				children: []*node{n, sib},
-			}
-			newRoot.mbr = n.mbr.Union(sib.mbr)
-			t.root = newRoot
+// splitUpward splits overfull nodes bottom-up along path (root first,
+// all owned by t), attaching each split-off sibling to the next node up
+// and growing a new root when the root itself splits. A parent's MBR
+// already covers the sibling: chooseLeaf grew it on the way down.
+func (t *Tree) splitUpward(path []*node) {
+	for i := len(path) - 1; i >= 0; i-- {
+		n := path[i]
+		if n.count() <= t.maxEntries {
 			return
 		}
-		parent := path[len(path)-1]
-		path = path[:len(path)-1]
-		parent.children = append(parent.children, sib)
-		parent.mbr = parent.mbr.Union(sib.mbr)
-		n = parent
-	}
-}
-
-func findPath(cur, target *node, path *[]*node) bool {
-	if cur == target {
-		return true
-	}
-	if cur.leaf {
-		return false
-	}
-	*path = append(*path, cur)
-	for _, c := range cur.children {
-		if findPath(c, target, path) {
-			return true
+		sib := t.splitNode(n)
+		if i == 0 {
+			t.root = &node{
+				mbr:      n.mbr.Union(sib.mbr),
+				owner:    t.owner,
+				children: []*node{n, sib},
+			}
+			return
 		}
+		path[i-1].children = append(path[i-1].children, sib)
 	}
-	*path = (*path)[:len(*path)-1]
-	return false
 }
 
 // count returns the entry count of n (items for leaves, children for
@@ -297,7 +316,7 @@ func (t *Tree) splitNode(n *node) *node {
 		remaining--
 	}
 
-	sib := &node{leaf: n.leaf}
+	sib := &node{leaf: n.leaf, owner: t.owner}
 	if n.leaf {
 		oldItems := n.items
 		n.items = make([]Item, 0, len(groupA))
@@ -334,106 +353,99 @@ func recomputeMBR(n *node) geom.Rect {
 	return mbr
 }
 
-// adjustMBRs recomputes all MBRs bottom-up. Insert already grows MBRs
-// on the way down; this pass tightens after splits. It is O(n) in the
-// number of nodes, which is acceptable at the tree sizes Casper uses;
-// bulk loading avoids it entirely.
-func (t *Tree) adjustMBRs() {
-	var walk func(n *node) geom.Rect
-	walk = func(n *node) geom.Rect {
-		if n.leaf {
-			n.mbr = recomputeMBR(n)
-			return n.mbr
-		}
-		mbr := walk(n.children[0])
-		for _, c := range n.children[1:] {
-			mbr = mbr.Union(walk(c))
-		}
-		n.mbr = mbr
-		return mbr
-	}
-	if t.root.count() > 0 {
-		walk(t.root)
-	} else {
-		t.root.mbr = geom.Rect{}
-	}
-}
-
 // Delete removes one item matching id whose stored rectangle equals r.
 // It returns false when no such item exists. Orphaned entries from
 // underfull nodes are reinserted (Guttman's CondenseTree).
 func (t *Tree) Delete(id int64, r geom.Rect) bool {
-	leaf, idx := t.findLeaf(t.root, id, r)
-	if leaf == nil {
+	var atBuf [pathBuf]int
+	at, ok := findLeaf(t.root, id, r, atBuf[:0])
+	if !ok {
 		return false
 	}
-	leaf.items = append(leaf.items[:idx], leaf.items[idx+1:]...)
+	var buf [pathBuf]*node
+	path := buf[:0]
+	t.root = t.mutable(t.root)
+	n := t.root
+	for _, i := range at[:len(at)-1] {
+		path = append(path, n)
+		c := t.mutable(n.children[i])
+		n.children[i] = c
+		n = c
+	}
+	path = append(path, n)
+	i := at[len(at)-1]
+	n.items = append(n.items[:i], n.items[i+1:]...)
 	t.size--
-	t.condense(leaf)
+	t.condense(path, at, r)
 	return true
 }
 
-func (t *Tree) findLeaf(n *node, id int64, r geom.Rect) (*node, int) {
-	if !n.mbr.Intersects(r) && n.count() > 0 {
-		return nil, -1
-	}
+// findLeaf looks for the item (id, r) below n and appends to at the
+// child index taken at each internal level, then the item's index in
+// its leaf. An item lies inside the MBR of every node above it, so the
+// search enters only children whose MBR contains r.
+func findLeaf(n *node, id int64, r geom.Rect, at []int) ([]int, bool) {
 	if n.leaf {
 		for i, it := range n.items {
 			if it.ID == id && it.Rect == r {
-				return n, i
+				return append(at, i), true
 			}
 		}
-		return nil, -1
+		return at, false
 	}
-	for _, c := range n.children {
-		if leaf, i := t.findLeaf(c, id, r); leaf != nil {
-			return leaf, i
+	for i, c := range n.children {
+		if !c.mbr.ContainsRect(r) {
+			continue
+		}
+		if found, ok := findLeaf(c, id, r, append(at, i)); ok {
+			return found, true
 		}
 	}
-	return nil, -1
+	return at, false
 }
 
-// condense removes underfull nodes on the path to the just-modified
-// leaf, collecting their surviving entries for reinsertion, then
-// shrinks the root if it has a single child.
-func (t *Tree) condense(leaf *node) {
-	var path []*node
-	findPath(t.root, leaf, &path)
-
+// condense walks the root-to-leaf path of a deletion bottom-up (every
+// node on it owned by t; at[i] is the index of path[i+1] among
+// path[i]'s children; gone is the deleted item's rectangle). An
+// underfull node is unlinked from its parent and its items are
+// collected for reinsertion; any other node has its MBR re-bounded.
+// Nothing off the path can have changed, and the walk stops early once
+// a node's MBR is known not to have changed: only losing an entry that
+// touched its edge can shrink it, and then only a parent of a node that
+// shrank or was unlinked can shrink in turn. The root finally shrinks
+// while it is an internal node with one child.
+func (t *Tree) condense(path []*node, at []int, gone geom.Rect) {
 	var orphans []Item
-	n := leaf
-	for len(path) > 0 {
-		parent := path[len(path)-1]
-		path = path[:len(path)-1]
-		if n.count() < t.minEntries {
-			// Remove n from parent, orphan its items.
-			for i, c := range parent.children {
-				if c == n {
-					parent.children = append(parent.children[:i], parent.children[i+1:]...)
-					break
-				}
-			}
+	leafMBR := path[len(path)-1].mbr
+	stale := gone.Min.X == leafMBR.Min.X || gone.Min.Y == leafMBR.Min.Y ||
+		gone.Max.X == leafMBR.Max.X || gone.Max.Y == leafMBR.Max.Y
+	for i := len(path) - 1; i >= 0; i-- {
+		n := path[i]
+		if i > 0 && n.count() < t.minEntries {
+			j := at[i-1]
+			path[i-1].children = append(path[i-1].children[:j], path[i-1].children[j+1:]...)
 			collectItems(n, &orphans)
-		} else {
-			n.mbr = recomputeMBR(n)
+			stale = true
+			continue
 		}
-		n = parent
+		if !stale {
+			break
+		}
+		old := n.mbr
+		n.mbr = recomputeMBR(n)
+		stale = n.mbr != old
 	}
-	t.root.mbr = recomputeMBR(t.root)
-	// Shrink the root while it is an internal node with one child.
 	for !t.root.leaf && len(t.root.children) == 1 {
 		t.root = t.root.children[0]
 	}
 	if !t.root.leaf && len(t.root.children) == 0 {
-		t.root = &node{leaf: true}
+		t.root = &node{leaf: true, owner: t.owner}
 	}
-	// Reinsert orphans (size was already decremented for the deleted
-	// item only; orphans are still counted, so compensate).
+	// Orphans are still counted in size; Insert counts them again.
 	t.size -= len(orphans)
 	for _, it := range orphans {
 		t.Insert(it)
 	}
-	t.adjustMBRs()
 }
 
 func collectItems(n *node, out *[]Item) {
@@ -613,34 +625,24 @@ func (t *Tree) All() []Item {
 	return out
 }
 
-// Clone returns a deep copy of the tree: nodes and item slices are
-// copied, Item payloads (Data) are shared. Mutating the clone never
-// touches the original, which is what makes read-copy-update snapshot
-// publication possible (internal/server clones the published tree,
-// applies a write batch, and publishes the result while readers keep
-// traversing the original lock-free). Cost is O(n) time and memory.
+// Clone returns a copy of the tree in O(1). The copy shares every node
+// with t, and both trees get fresh owner tokens, so neither owns a
+// shared node any more: the first write to either copies only the nodes
+// on its root-to-leaf path, O(log n), and later writes to the same tree
+// reuse those copies. Item payloads (Data) are shared. Mutating the
+// clone never touches the original and vice versa, which is what makes
+// read-copy-update snapshot publication cheap (internal/server clones
+// the published tree, applies a write batch, and publishes the result
+// while readers keep traversing the original lock-free).
+//
+// Clone re-stamps t's token, so for the write discipline it counts as a
+// write to t: two Clones of one tree must not run concurrently, nor a
+// Clone and an Insert or Delete on t. Readers of t are unaffected and
+// may run concurrently with Clone.
 func (t *Tree) Clone() *Tree {
-	return &Tree{
-		root:       cloneNode(t.root),
-		size:       t.size,
-		maxEntries: t.maxEntries,
-		minEntries: t.minEntries,
-	}
-}
-
-func cloneNode(n *node) *node {
-	c := &node{mbr: n.mbr, leaf: n.leaf}
-	if n.leaf {
-		if len(n.items) > 0 {
-			c.items = append(make([]Item, 0, len(n.items)), n.items...)
-		}
-		return c
-	}
-	c.children = make([]*node, len(n.children))
-	for i, ch := range n.children {
-		c.children[i] = cloneNode(ch)
-	}
-	return c
+	c := *t
+	t.owner, c.owner = new(owner), new(owner)
+	return &c
 }
 
 // BulkLoad builds a tree from items using Sort-Tile-Recursive packing,
@@ -661,11 +663,11 @@ func BulkLoadWithCapacity(items []Item, maxEntries int) *Tree {
 			panic(fmt.Sprintf("rtree: bulk loading invalid rect %v", it.Rect))
 		}
 	}
-	leaves := strPackLeaves(items, maxEntries)
+	leaves := strPackLeaves(items, maxEntries, t.owner)
 	t.size = len(items)
 	level := leaves
 	for len(level) > 1 {
-		level = strPackNodes(level, maxEntries)
+		level = strPackNodes(level, maxEntries, t.owner)
 	}
 	t.root = level[0]
 	return t
@@ -699,7 +701,7 @@ func (s nodesByCenterY) Len() int           { return len(s) }
 func (s nodesByCenterY) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
 func (s nodesByCenterY) Less(i, j int) bool { return s[i].mbr.Center().Y < s[j].mbr.Center().Y }
 
-func strPackLeaves(items []Item, cap_ int) []*node {
+func strPackLeaves(items []Item, cap_ int, o *owner) []*node {
 	n := len(items)
 	numLeaves := (n + cap_ - 1) / cap_
 	numStrips := intSqrtCeil(numLeaves)
@@ -712,7 +714,7 @@ func strPackLeaves(items []Item, cap_ int) []*node {
 		sort.Sort(itemsByCenterY(strip))
 		for i := 0; i < len(strip); i += cap_ {
 			j := min(i+cap_, len(strip))
-			leaf := &node{leaf: true, items: append([]Item(nil), strip[i:j]...)}
+			leaf := &node{leaf: true, owner: o, items: append([]Item(nil), strip[i:j]...)}
 			leaf.mbr = recomputeMBR(leaf)
 			leaves = append(leaves, leaf)
 		}
@@ -720,7 +722,7 @@ func strPackLeaves(items []Item, cap_ int) []*node {
 	return leaves
 }
 
-func strPackNodes(nodes []*node, cap_ int) []*node {
+func strPackNodes(nodes []*node, cap_ int, o *owner) []*node {
 	n := len(nodes)
 	numParents := (n + cap_ - 1) / cap_
 	numStrips := intSqrtCeil(numParents)
@@ -733,7 +735,7 @@ func strPackNodes(nodes []*node, cap_ int) []*node {
 		sort.Sort(nodesByCenterY(strip))
 		for i := 0; i < len(strip); i += cap_ {
 			j := min(i+cap_, len(strip))
-			p := &node{children: append([]*node(nil), strip[i:j]...)}
+			p := &node{owner: o, children: append([]*node(nil), strip[i:j]...)}
 			p.mbr = recomputeMBR(p)
 			parents = append(parents, p)
 		}
@@ -747,13 +749,6 @@ func intSqrtCeil(n int) int {
 		s++
 	}
 	return s
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Stats describes the shape of the tree; useful in tests and for
@@ -805,6 +800,9 @@ func (t *Tree) checkInvariants() error {
 		}
 		if n.count() > t.maxEntries {
 			return 0, fmt.Errorf("overfull node (%d > %d) at depth %d", n.count(), t.maxEntries, depth)
+		}
+		if n.count() > 0 && n.mbr != recomputeMBR(n) {
+			return 0, fmt.Errorf("MBR %v is not the bound %v of its entries at depth %d", n.mbr, recomputeMBR(n), depth)
 		}
 		if n.leaf {
 			for _, it := range n.items {

@@ -61,6 +61,15 @@ func newQueryCache(maxSize int) *queryCache {
 	return &queryCache{maxSize: maxSize}
 }
 
+// cacheable trims a computed result to what callers read before the
+// cache retains it: the Filters diagnostic, which no serving path uses,
+// is dropped, shrinking each of the up to maxSize retained results by
+// about a fifth.
+func cacheable(res privacyqp.Result, err error) (privacyqp.Result, error) {
+	res.Filters = nil
+	return res, err
+}
+
 // do returns the result for key at the given table version, computing
 // it at most once across all concurrent callers: the first caller to
 // install the entry runs compute and fills it; everyone else waits on

@@ -56,7 +56,8 @@ var (
 
 // indexSnapshot is one immutable, consistent view of both spatial
 // tables. Writers never mutate a published snapshot: they clone the
-// tree they are changing, apply the whole batch to the clone, and
+// tree they are changing (O(1); the clone copies only the nodes the
+// batch's writes touch), apply the whole batch to the clone, and
 // publish a new snapshot with a single atomic store (RCU). Readers
 // that loaded an older snapshot keep traversing it safely; the Go
 // garbage collector provides the grace period — an old snapshot is
@@ -254,15 +255,18 @@ func (s *Server) UpsertPrivateBatch(objs []PrivateObject) error {
 	defer s.writeMu.Unlock()
 	cur := s.snap.Load()
 	priv := cur.private.Clone()
-	s.idxMu.Lock()
 	for _, o := range objs {
-		if old, ok := s.privIdx[o.ID]; ok {
+		// idxMu covers only the map access: writeMu already serializes
+		// writers, so lookups (GetPrivate) never wait on tree work.
+		s.idxMu.Lock()
+		old, ok := s.privIdx[o.ID]
+		s.privIdx[o.ID] = o
+		s.idxMu.Unlock()
+		if ok {
 			priv.Delete(o.ID, old.Region)
 		}
-		s.privIdx[o.ID] = o
 		priv.Insert(rtree.Item{Rect: o.Region, ID: o.ID})
 	}
-	s.idxMu.Unlock()
 	s.publish(&indexSnapshot{
 		public:      cur.public,
 		private:     priv,
@@ -314,7 +318,7 @@ func (s *Server) Queries() int64 { return s.queries.Load() }
 // table: only the cloaked region of the asker is known. The result's
 // candidate list is inclusive and minimal (Theorems 1-2).
 // Cached results share their candidate slices across callers; treat
-// them as read-only.
+// them as read-only. Results carry no Filters list (see cacheable).
 func (s *Server) NNPublic(cloak geom.Rect, opt privacyqp.Options) (privacyqp.Result, error) {
 	start := time.Now()
 	s.queries.Add(1)
@@ -325,7 +329,7 @@ func (s *Server) NNPublic(cloak geom.Rect, opt privacyqp.Options) (privacyqp.Res
 	computed := false
 	res, err := s.cache.do(key, snap.pubVersion, tr, func() (privacyqp.Result, error) {
 		computed = true
-		return privacyqp.PrivateNN(snap.public, cloak, privacyqp.PublicData, opt)
+		return cacheable(privacyqp.PrivateNN(snap.public, cloak, privacyqp.PublicData, opt))
 	})
 	if tr != nil {
 		csp.End(trace.Str("outcome", cacheOutcome(computed)),
@@ -385,7 +389,7 @@ func (s *Server) KNNPublic(cloak geom.Rect, k int, opt privacyqp.Options) (priva
 	computed := false
 	res, err := s.cache.do(key, snap.pubVersion, tr, func() (privacyqp.Result, error) {
 		computed = true
-		return privacyqp.PrivateKNN(snap.public, cloak, k, privacyqp.PublicData, opt)
+		return cacheable(privacyqp.PrivateKNN(snap.public, cloak, k, privacyqp.PublicData, opt))
 	})
 	if tr != nil {
 		csp.End(trace.Str("outcome", cacheOutcome(computed)),

@@ -248,6 +248,9 @@ func TestQueryCacheHitsOnRepeatedCloaks(t *testing.T) {
 	if len(first.Candidates) != len(second.Candidates) {
 		t.Fatal("cached result differs")
 	}
+	if first.Filters != nil || second.Filters != nil {
+		t.Fatal("a cached result kept its Filters diagnostic")
+	}
 	hits, misses := s.CacheStats()
 	if hits != 1 || misses < 1 {
 		t.Fatalf("cache stats: hits=%d misses=%d", hits, misses)
