@@ -169,18 +169,23 @@ bench-backends:
 # 1k/10k/100k standing queries against the pre-refactor linear-scan
 # baseline (with matches per update growing with the query count, and
 # held constant by the FixedMatches variant), batched ingestion, and
-# the safe-region moving-asker trace.
-# Headlines (both gated here): BenchmarkMonitorIndexedUpdate vs
+# the safe-region moving-asker trace, and private-data churn under
+# standing NN and radius watches.
+# Headlines (all gated here): BenchmarkMonitorIndexedUpdate vs
 # BenchmarkMonitorLinearBaseline at q10000 (the indexed monitor must
-# be >= 5x faster per update), and BenchmarkMonitorNNRecloak/safe
+# be >= 5x faster per update), BenchmarkMonitorNNRecloak/safe
 # evals/update (safe regions must answer >= 50% of cloak movements
-# without a re-evaluation). The first awk is generalized over paired
-# "value unit" benchmark fields, so the custom evals/update and
-# safehits/update metrics land in the JSON next to ns/op.
+# without a re-evaluation), and BenchmarkMonitorPrivateChurn
+# evals/update (absorbing data moves into standing answers must leave
+# at most a third of the 17.2 re-evaluations per update that
+# re-evaluating every touched query cost). The first awk is
+# generalized over paired "value unit" benchmark fields, so the custom
+# evals/update, safehits/update and absorbed/update metrics land in
+# the JSON next to ns/op.
 bench-continuous:
 	$(GO) test -run XXX -bench 'BenchmarkMonitor' -benchmem ./internal/continuous | tee /tmp/bench-continuous.txt
 	@awk -v cpus="$$(nproc 2>/dev/null || echo unknown)" \
-	'BEGIN { printf "{\n  \"cpus\": \"%s\",\n  \"headline\": \"BenchmarkMonitorIndexedUpdate/q10000 vs BenchmarkMonitorLinearBaseline/q10000 ns/op (indexed query matching, acceptance >= 5x); BenchmarkMonitorNNRecloak/safe vs /legacy evals/update (safe regions, acceptance >= 50%% cut); BenchmarkMonitorIndexedUpdateFixedMatches q1000 -> q100000 ns/op (matches/update held near 5, so the curve is the per-update cost of the indexes; ungated)\",\n  \"benchmarks\": [\n", cpus; first = 1 } \
+	'BEGIN { printf "{\n  \"cpus\": \"%s\",\n  \"headline\": \"BenchmarkMonitorIndexedUpdate/q10000 vs BenchmarkMonitorLinearBaseline/q10000 ns/op (indexed query matching, acceptance >= 5x); BenchmarkMonitorNNRecloak/safe vs /legacy evals/update (safe regions, acceptance >= 50%% cut); BenchmarkMonitorIndexedUpdateFixedMatches q1000 -> q100000 ns/op (matches/update held near 5, so the curve is the per-update cost of the indexes; ungated); BenchmarkMonitorPrivateChurn evals/update (absorbed data moves, acceptance <= 5.73, a third of the 17.2 measured when every touched query re-evaluated)\",\n  \"benchmarks\": [\n", cpus; first = 1 } \
 	/^Benchmark/ { if (!first) printf ",\n"; first = 0; \
 	  printf "    {\"name\": \"%s\", \"iterations\": %s", $$1, $$2; \
 	  for (i = 3; i < NF; i += 2) { \
@@ -192,10 +197,12 @@ bench-continuous:
 	@awk '/^BenchmarkMonitorLinearBaseline\/q10000[^0-9]/ { lin = $$3 } \
 	  /^BenchmarkMonitorIndexedUpdate\/q10000[^0-9]/ { idx = $$3 } \
 	  /^BenchmarkMonitorNNRecloak\/safe/ { for (i = 3; i < NF; i++) if ($$(i+1) == "evals/update") ev = $$i } \
-	  END { if (lin+0 == 0 || idx+0 == 0 || ev == "") { print "FAIL: expected benchmarks missing from bench output"; exit 1 } \
+	  /^BenchmarkMonitorPrivateChurn/ { for (i = 3; i < NF; i++) if ($$(i+1) == "evals/update") churn = $$i } \
+	  END { if (lin+0 == 0 || idx+0 == 0 || ev == "" || churn == "") { print "FAIL: expected benchmarks missing from bench output"; exit 1 } \
 	    if (lin < 5 * idx) { printf "FAIL: indexed %s ns/op is only %.2fx the linear baseline %s ns/op (need >= 5x)\n", idx, lin/idx, lin; exit 1 } \
 	    if (ev + 0 > 0.5) { printf "FAIL: safe regions still re-evaluate %s times per update (need <= 0.5)\n", ev; exit 1 } \
-	    printf "ok: indexed monitor %.1fx faster than linear scan at 10k standing queries; %.3f evals/update with safe regions\n", lin/idx, ev }' /tmp/bench-continuous.txt
+	    if (churn + 0 > 17.2 / 3) { printf "FAIL: private churn re-evaluates %s times per update (need <= %.2f, a third of 17.2)\n", churn, 17.2 / 3; exit 1 } \
+	    printf "ok: indexed monitor %.1fx faster than linear scan at 10k standing queries; %.3f evals/update with safe regions; %.3f evals/update under private churn\n", lin/idx, ev, churn }' /tmp/bench-continuous.txt
 	@echo "wrote BENCH_continuous.json"
 
 # fuzz exercises the v2 frame decoder and codecs beyond the committed

@@ -1,7 +1,9 @@
 package continuous
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"casper/internal/geom"
@@ -68,8 +70,11 @@ func (m *Monitor) ApplyUpdates(batch []PrivateUpdate) error {
 
 // UpsertPrivate inserts or moves one private object (a user's cloaked
 // region keyed by her stored pseudonym). Range counts over the old
-// and new regions adjust incrementally; NN and radius queries whose
-// interest regions are touched re-evaluate.
+// and new regions adjust incrementally. NN and radius queries over
+// private data whose interest regions are touched absorb the move into
+// their candidate lists; only an NN query whose filter step the move
+// can change (a filter object moved, or the object now comes within a
+// filter probe's nearest distance) re-evaluates.
 func (m *Monitor) UpsertPrivate(id int64, region geom.Rect) error {
 	if !region.IsValid() {
 		return fmt.Errorf("continuous: invalid region %v for object %d", region, id)
@@ -93,13 +98,14 @@ func (m *Monitor) RemovePrivate(id int64) bool {
 // Phase 1 locks each op's entry mutex (pid order), reads the old
 // regions, locks the union of affected stripes (ascending), then for
 // every op mutates the shadow table, folds range-count deltas inline,
-// and dirty-marks matched NN/radius queries. Phase 2, outside the
-// entry locks, escalates to all stripes once and re-evaluates the
-// dirty queries. The dirty flag is set inside the same critical
-// section as the table mutation and cleared only under all stripe
-// locks, so a re-evaluation can never miss a concurrent mutation: the
-// mutation either happened before the re-evaluation (which reads the
-// current table) or re-marks the query dirty for the next pass.
+// absorbs the move into matched NN/radius answers, and dirty-marks the
+// matched queries it cannot absorb. Phase 2, outside the entry locks,
+// escalates to all stripes once and re-evaluates the dirty queries.
+// The dirty flag is set inside the same critical section as the table
+// mutation and cleared only under all stripe locks, so a re-evaluation
+// can never miss a concurrent mutation: the mutation either happened
+// before the re-evaluation (which reads the current table) or is
+// absorbed into, or re-marks dirty, the answer it produced.
 func (m *Monitor) applyPrivate(ops []applyOp) {
 	start := time.Now()
 	defer func() {
@@ -151,7 +157,7 @@ func (m *Monitor) applyOneLocked(op *applyOp, pending *[]*query) {
 		}
 		e.present = false
 		m.stripes[m.stripeOf(op.old)].priv.Delete(op.pid, op.old)
-		m.matchPrivate(op.old, geom.Rect{}, true, false, pending)
+		m.matchPrivate(op.pid, op.old, geom.Rect{}, true, false, pending)
 		op.ok = true
 		return
 	}
@@ -167,16 +173,17 @@ func (m *Monitor) applyOneLocked(op *applyOp, pending *[]*query) {
 	m.stripes[m.stripeOf(op.region)].priv.Insert(rtree.Item{Rect: op.region, ID: op.pid})
 	e.present = true
 	e.region = op.region
-	m.matchPrivate(op.old, op.region, op.had, true, pending)
+	m.matchPrivate(op.pid, op.old, op.region, op.had, true, pending)
 	op.ok = true
 }
 
-// matchPrivate joins one private-object transition (old region ->
-// new region) against the standing queries: range counts get the
-// contribution delta applied inline; NN/radius queries over private
-// data are dirty-marked for phase 2. Caller holds the stripes of both
-// regions (and the seam stripe).
-func (m *Monitor) matchPrivate(old, new geom.Rect, hadOld, hasNew bool, pending *[]*query) {
+// matchPrivate joins one private-object transition (pid's old region
+// -> new region) against the standing queries: range counts get the
+// contribution delta applied inline, and NN/radius queries over
+// private data absorb the move or are dirty-marked for phase 2 (see
+// absorbMove). Each matched query is visited once. Caller holds the
+// stripes of both regions (and the seam stripe).
+func (m *Monitor) matchPrivate(pid int64, old, new geom.Rect, hadOld, hasNew bool, pending *[]*query) {
 	if hadOld {
 		m.forMatching(old, func(q *query) {
 			switch q.kind {
@@ -186,10 +193,8 @@ func (m *Monitor) matchPrivate(old, new geom.Rect, hadOld, hasNew bool, pending 
 					delta += contribution(new, q.rect, q.policy)
 				}
 				m.applyCountDelta(q, delta)
-			case qNN, qRadius:
-				if q.dataKind == privacyqp.PrivateData {
-					markDirty(q, pending)
-				}
+			default:
+				m.absorbMove(q, pid, new, hasNew, pending)
 			}
 		})
 	}
@@ -197,23 +202,112 @@ func (m *Monitor) matchPrivate(old, new geom.Rect, hadOld, hasNew bool, pending 
 		return
 	}
 	m.forMatching(new, func(q *query) {
+		// Queries also matched by the old region were fully handled
+		// above (a range delta already includes the new contribution,
+		// an absorbed move already placed the new region); skip them.
+		if hadOld && q.interest.Intersects(old) {
+			return
+		}
 		switch q.kind {
 		case qRange:
-			// Queries also matched by the old region were fully
-			// handled above (their delta already includes the new
-			// contribution); skip them here.
-			if hadOld && q.rect.Intersects(old) {
-				return
-			}
 			// The old region (if any) does not intersect q.rect, so
 			// its contribution was zero under every policy.
 			m.applyCountDelta(q, contribution(new, q.rect, q.policy))
-		case qNN, qRadius:
-			if q.dataKind == privacyqp.PrivateData {
-				markDirty(q, pending)
-			}
+		default:
+			m.absorbMove(q, pid, new, true, pending)
 		}
 	})
+}
+
+// absorbMove folds pid's move (to region r, or out of the table when
+// !present) into a matched NN or radius answer over private data, in
+// place: the object joins, leaves, or refreshes its rect in the
+// candidate list, and subscribers hear about it only when the ID set
+// changes. That is exactly what a fresh evaluation would return as
+// long as the move leaves A_EXT unchanged. A radius query's A_EXT is
+// its evaluation cloak expanded by the radius, whatever the data. An
+// NN query's A_EXT depends only on its filter objects, so the move is
+// absorbed unless pid is a filter or r comes within some probe's
+// nearest distance (ties included). Those queries are dirty-marked
+// for phase 2, as are ones whose last evaluation failed; a query
+// already dirty is left to its pending re-evaluation, and one over
+// public data is not affected at all.
+func (m *Monitor) absorbMove(q *query, pid int64, r geom.Rect, present bool, pending *[]*query) {
+	if q.dataKind != privacyqp.PrivateData || q.dirty {
+		return
+	}
+	if !q.absorbs || (q.kind == qNN && q.mayChangeFilters(pid, r, present)) {
+		markDirty(q, pending)
+		return
+	}
+	if q.setMember(pid, r, present && pid != q.exclude && q.admits(r)) {
+		m.emitCandidates(q)
+	}
+	m.absorbed.Add(1)
+	contAbsorbed.Inc()
+}
+
+// mayChangeFilters reports whether pid's move to r (or removal) could
+// change the filter step of q's last evaluation. Every side of A_EXT
+// lies at least a probe's recorded distance beyond that probe, so a
+// region within that distance, like every filter, lies inside A_EXT:
+// any move that could change the filter step matches q and gets here.
+func (q *query) mayChangeFilters(pid int64, r geom.Rect, present bool) bool {
+	for _, id := range q.filters[:q.nFilters] {
+		if id == pid {
+			return true
+		}
+	}
+	if !present {
+		return false
+	}
+	for _, pr := range q.probes[:q.nProbes] {
+		if rtree.MaxDist.DistTo(pr.p, r) <= pr.d {
+			return true
+		}
+	}
+	return false
+}
+
+// admits is the candidate test of q's last evaluation applied to one
+// region: PrivateRange's radius test over the evaluation cloak, or
+// PrivateNN's A_EXT overlap under the MinOverlap policy.
+func (q *query) admits(r geom.Rect) bool {
+	if !r.Intersects(q.interest) {
+		return false
+	}
+	if q.kind == qRadius {
+		return geom.MinDistRects(q.evalCloak, r) <= q.radius
+	}
+	return q.opt.MinOverlap <= 0 || geom.OverlapFraction(r, q.interest) >= q.opt.MinOverlap
+}
+
+// candGrowth is how many slots a full candidate list grows by: lists
+// change by one object at a time, and doubling would hold ~2x the
+// memory across a thousand standing answers.
+const candGrowth = 4
+
+// setMember makes pid a candidate with region r (member) or not, and
+// reports whether the candidate ID set changed.
+func (q *query) setMember(pid int64, r geom.Rect, member bool) bool {
+	c := q.candidates
+	i, found := slices.BinarySearchFunc(c, pid, func(it rtree.Item, id int64) int { return cmp.Compare(it.ID, id) })
+	switch {
+	case member && found:
+		c[i].Rect = r
+		return false
+	case member:
+		if len(c) == cap(c) {
+			c = append(make([]rtree.Item, 0, len(c)+candGrowth), c...)
+		}
+		c = slices.Insert(c, i, rtree.Item{Rect: r, ID: pid})
+	case found:
+		c = slices.Delete(c, i, i+1)
+	default:
+		return false
+	}
+	q.candidates = c
+	return true
 }
 
 // matchPublic dirty-marks the NN/radius queries over public data whose

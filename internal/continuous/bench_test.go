@@ -236,3 +236,55 @@ func BenchmarkMonitorNNRecloak(b *testing.B) {
 	b.Run("legacy", func(b *testing.B) { run(b, Config{SafeRegionFrac: -1}) })
 	b.Run("safe", func(b *testing.B) { run(b, Config{SafeRegionFrac: 0.7}) })
 }
+
+// BenchmarkMonitorPrivateChurn is the watch-churn shape: 1,024 standing
+// queries over private data, half NN and half radius, each excluding
+// its asker's own pseudonym, while 2,048 cloaked users move. One op is
+// one private-object update. evals/update counts the full
+// re-evaluations those moves cause, absorbed/update the matched
+// queries that folded a move into their answer instead.
+func BenchmarkMonitorPrivateChurn(b *testing.B) {
+	const nObjects, nWatches = 2048, 1024
+	m := NewMonitor(Config{})
+	b.Cleanup(m.Close)
+	gen := mobgen.New(benchNet, mobgen.DefaultConfig(nObjects, 37))
+	buf := make([]mobgen.Update, 0, nObjects)
+	seed := make([]PrivateUpdate, 0, nObjects)
+	for _, u := range gen.PositionsInto(buf) {
+		seed = append(seed, PrivateUpdate{ID: u.ID, Region: benchCloak(u.Pos, 60)})
+	}
+	if err := m.ApplyUpdates(seed); err != nil {
+		b.Fatal(err)
+	}
+	for i, asker := range seed[:nWatches] {
+		var err error
+		if i%2 == 0 {
+			_, _, err = m.RegisterNN(asker.Region, privacyqp.PrivateData, privacyqp.DefaultOptions(), asker.ID)
+		} else {
+			_, _, err = m.RegisterRadius(asker.Region, 500, privacyqp.PrivateData, asker.ID)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	const ticks = 8
+	trace := make([]PrivateUpdate, 0, ticks*nObjects)
+	for t := 0; t < ticks; t++ {
+		for _, u := range gen.StepInto(5, buf) {
+			trace = append(trace, PrivateUpdate{ID: u.ID, Region: benchCloak(u.Pos, 60)})
+		}
+	}
+	evals0, absorbed0 := m.Evaluations(), m.Absorbed()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := trace[i%len(trace)]
+		if err := m.UpsertPrivate(u.ID, u.Region); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	n := float64(b.N)
+	b.ReportMetric(float64(m.Evaluations()-evals0)/n, "evals/update")
+	b.ReportMetric(float64(m.Absorbed()-absorbed0)/n, "absorbed/update")
+}

@@ -23,6 +23,14 @@
 //     incrementally: an object update adjusts each affected query's
 //     count by the difference of its old and new contribution — no
 //     re-evaluation ever;
+//   - nearest-neighbor and radius queries over private data absorb
+//     object moves the same way wherever that is provably exact: a
+//     radius query's A_EXT does not depend on the data, and an NN
+//     query's depends only on its filter objects, so a move that
+//     touches neither a filter nor any filter probe's nearest distance
+//     just adds, drops or refreshes one candidate in place, under the
+//     stripe locks the move already holds. Only the remaining moves
+//     re-evaluate: the safe-region idea below, applied to data moves;
 //   - nearest-neighbor and radius queries keep a safe region (after
 //     Hashem, Kulik & Zhang, "Privacy Preserving Moving KNN Queries"):
 //     the region within which the current candidate list provably
@@ -30,15 +38,16 @@
 //     target slack (the (k+1)-th-neighbor argument) plus an optional
 //     cloak inflation. A moving asker whose new cloak stays inside the
 //     safe region costs a counter bump; only a region exit (or a data
-//     change inside the interest region) triggers re-evaluation.
+//     change inside the interest region that cannot be absorbed)
+//     triggers re-evaluation.
 //
 // The monitor owns shadow copies of the public and private tables and
 // is driven by the same update stream the database server receives.
 // Every answer it maintains is what a fresh snapshot query at the
 // query's evaluation cloak would return, and remains inclusive for any
 // asker position inside the safe region (property-tested in
-// continuous_test.go); Evaluations() against Updates() quantifies the
-// incremental savings.
+// monitor_test.go); Evaluations() and Absorbed() against Updates()
+// quantify the incremental savings.
 //
 // All methods are safe for concurrent use.
 package continuous
@@ -156,6 +165,7 @@ type Monitor struct {
 
 	updates     atomic.Int64
 	evaluations atomic.Int64
+	absorbed    atomic.Int64
 	safeHits    atomic.Int64
 	applyTicks  atomic.Int64
 	applyNanos  atomic.Int64
@@ -212,9 +222,32 @@ type query struct {
 	opt       privacyqp.Options
 	// exclude drops the asker's own pseudonym from private-data
 	// candidate lists; negative means none.
-	exclude    int64
+	exclude int64
+	// candidates is the answer sorted by ID. The query owns it:
+	// absorbed private-object moves edit it in place, so readers get
+	// copies.
 	candidates []rtree.Item
-	candIDs    map[int64]bool
+
+	// absorbs is set while the last evaluation of a query over
+	// private data succeeded, so matched object moves can be folded
+	// into the answer (see absorbMove) instead of re-evaluating it.
+	absorbs bool
+	// The filter step of the last private-data NN evaluation: each
+	// probe point with the distance to its nearest target then, and
+	// the filter objects' IDs. While no filter moves and no other
+	// object comes within a probe's distance, the filters and so
+	// A_EXT stay what a fresh evaluation would find.
+	probes   [4]probe
+	nProbes  int
+	filters  [4]int64
+	nFilters int
+}
+
+// probe is one filter-step probe point and the MaxDist of its nearest
+// target at evaluation time.
+type probe struct {
+	p geom.Point
+	d float64
 }
 
 // NewMonitor builds a monitor from a Config.
@@ -304,6 +337,11 @@ func (m *Monitor) Updates() int64 { return m.updates.Load() }
 // Evaluations returns how many full query re-evaluations those updates
 // caused; Evaluations << Updates is the incremental win.
 func (m *Monitor) Evaluations() int64 { return m.evaluations.Load() }
+
+// Absorbed returns how many private-object moves were folded into a
+// standing NN or radius answer without re-evaluating it (one per
+// matched query and move).
+func (m *Monitor) Absorbed() int64 { return m.absorbed.Load() }
 
 // SafeRegionHits returns how many cloak updates were absorbed by a
 // safe region: the candidate list was provably still valid, so no
@@ -414,10 +452,11 @@ func (m *Monitor) RegisterRadius(cloak geom.Rect, radius float64, kind privacyqp
 
 // register evaluates q under all stripe locks, gives it an ID, and
 // inserts it into its home stripe's query index and the registry. It
-// returns the initial count and candidate list snapshotted under the
-// stripe locks: the moment addQuery makes q matchable, a concurrent
-// ApplyUpdates batch may mutate q.count or swap q.candidates, so the
-// caller must not read q's answer fields after register returns.
+// returns the initial count and a copy of the candidate list, taken
+// under the stripe locks: the moment addQuery makes q matchable, a
+// concurrent ApplyUpdates batch may mutate q.count or edit
+// q.candidates in place, so the caller must not read q's answer
+// fields after register returns.
 func (m *Monitor) register(q *query) (count float64, candidates []rtree.Item, err error) {
 	m.lockAll()
 	if err := m.evalQueryLocked(q); err != nil {
@@ -429,7 +468,7 @@ func (m *Monitor) register(q *query) (count float64, candidates []rtree.Item, er
 	home := m.stripeOf(q.interest)
 	q.home.Store(int32(home))
 	m.stripes[home].addQuery(q)
-	count, candidates = q.count, q.candidates
+	count, candidates = q.count, cloneItems(q.candidates)
 	m.unlockAll()
 
 	m.regMu.Lock()
@@ -495,7 +534,7 @@ func (m *Monitor) Candidates(id QueryID) ([]rtree.Item, bool) {
 	if q.dead {
 		return nil, false
 	}
-	return append([]rtree.Item(nil), q.candidates...), true
+	return cloneItems(q.candidates), true
 }
 
 // UpdateNNCloak moves a continuous NN query's asker: an unchanged
@@ -616,16 +655,8 @@ func contribution(region, query geom.Rect, policy privacyqp.CountPolicy) float64
 	return 0
 }
 
-func sameIDSet(a, b map[int64]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for id := range a {
-		if !b[id] {
-			return false
-		}
-	}
-	return true
+func cloneItems(items []rtree.Item) []rtree.Item {
+	return append([]rtree.Item(nil), items...)
 }
 
 // sortOps orders a batch by pid (ties: input order) so entry mutexes

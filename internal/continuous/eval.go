@@ -1,7 +1,9 @@
 package continuous
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"casper/internal/geom"
 	"casper/internal/privacyqp"
@@ -71,8 +73,32 @@ func (m *Monitor) evalNNLocked(q *query) error {
 		q.safe = ec.Expand(slack)
 		q.hasSafe = true
 	}
-	m.setCandidates(q, cands)
+	if q.dataKind == privacyqp.PrivateData {
+		q.recordFilterStep(ec, res.Filters)
+	}
+	setCandidates(q, cands)
 	return nil
+}
+
+// recordFilterStep keeps what absorbMove needs to prove a data move
+// leaves this evaluation's filter step unchanged. Each probe's nearest
+// target is one of the filters, so the smallest MaxDist from the probe
+// to a filter is exactly the distance the probe found.
+func (q *query) recordFilterStep(ec geom.Rect, filters []rtree.Item) {
+	pts, n := privacyqp.FilterProbes(ec, q.opt.Filters)
+	for i, p := range pts[:n] {
+		d := math.Inf(1)
+		for _, f := range filters {
+			d = math.Min(d, rtree.MaxDist.DistTo(p, f.Rect))
+		}
+		q.probes[i] = probe{p: p, d: d}
+	}
+	q.nProbes = n
+	for i, f := range filters {
+		q.filters[i] = f.ID
+	}
+	q.nFilters = len(filters)
+	q.absorbs = true
 }
 
 func (m *Monitor) evalRadiusLocked(q *query) error {
@@ -102,17 +128,23 @@ func (m *Monitor) evalRadiusLocked(q *query) error {
 		q.safe = ec
 		q.hasSafe = true
 	}
-	m.setCandidates(q, cands)
+	// A_EXT is the cloak expanded by the radius, whatever the data, so
+	// every private-object move can be absorbed.
+	q.absorbs = q.dataKind == privacyqp.PrivateData
+	setCandidates(q, cands)
 	return nil
 }
 
-func (m *Monitor) setCandidates(q *query, cands []rtree.Item) {
+// setCandidates installs a freshly evaluated answer, sorted by ID.
+func setCandidates(q *query, cands []rtree.Item) {
+	slices.SortFunc(cands, func(a, b rtree.Item) int { return cmp.Compare(a.ID, b.ID) })
 	q.candidates = cands
-	ids := make(map[int64]bool, len(cands))
-	for _, c := range cands {
-		ids[c.ID] = true
-	}
-	q.candIDs = ids
+}
+
+// sameIDs reports whether two ID-sorted candidate lists hold the same
+// IDs; a rect-only difference is not a change subscribers hear about.
+func sameIDs(a, b []rtree.Item) bool {
+	return slices.EqualFunc(a, b, func(x, y rtree.Item) bool { return x.ID == y.ID })
 }
 
 // reevalLocked re-runs one NN/radius query against the current
@@ -120,7 +152,7 @@ func (m *Monitor) setCandidates(q *query, cands []rtree.Item) {
 // notifies the subscriber if the candidate set changed. Caller holds
 // all stripe locks; the caller manages the dirty flag.
 func (m *Monitor) reevalLocked(q *query) {
-	oldIDs := q.candIDs
+	old := q.candidates
 	oldInterest := q.interest
 	if err := m.evalQueryLocked(q); err != nil {
 		// Evaluation failure (empty table, degenerate cloak): publish
@@ -129,8 +161,9 @@ func (m *Monitor) reevalLocked(q *query) {
 		q.evalCloak = geom.Rect{}
 		q.safe = geom.Rect{}
 		q.hasSafe = false
+		q.absorbs = false
 		q.interest = m.universe
-		m.setCandidates(q, nil)
+		setCandidates(q, nil)
 	}
 	m.noteEval()
 	if q.interest != oldInterest {
@@ -146,11 +179,11 @@ func (m *Monitor) reevalLocked(q *query) {
 		q.home.Store(int32(m.stripeOf(q.interest)))
 		m.stripes[q.home.Load()].addQuery(q)
 	}
-	if !sameIDSet(oldIDs, q.candIDs) {
-		m.emit(Event{
-			Query:      q.id,
-			Kind:       CandidatesChanged,
-			Candidates: append([]rtree.Item(nil), q.candidates...),
-		})
+	if !sameIDs(old, q.candidates) {
+		m.emitCandidates(q)
 	}
+}
+
+func (m *Monitor) emitCandidates(q *query) {
+	m.emit(Event{Query: q.id, Kind: CandidatesChanged, Candidates: cloneItems(q.candidates)})
 }

@@ -49,6 +49,9 @@ var (
 	contEvaluations = metrics.Default.Counter(
 		"casper_continuous_evaluations_total", "",
 		"Full re-evaluations those updates caused (lower is better).")
+	contAbsorbed = metrics.Default.Counter(
+		"casper_continuous_absorbed_total", "",
+		"Private-object moves folded into a standing NN or radius answer without re-evaluating it.")
 	contSafeHits = metrics.Default.Counter(
 		"casper_continuous_safe_region_hits_total", "",
 		"Cloak updates absorbed by a safe region without re-evaluating.")

@@ -2,6 +2,7 @@ package continuous
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -148,8 +149,10 @@ func runTraceEquivalence(t *testing.T, cfg Config) {
 				t.Fatalf("tick %d: watch %d vanished", tick, w.id)
 			}
 			gotIDs := map[int64]bool{}
+			gotRects := map[int64]geom.Rect{}
 			for _, c := range got {
 				gotIDs[c.ID] = true
+				gotRects[c.ID] = c.Rect
 			}
 			// (a) exact equality with a fresh snapshot at the cloak the
 			// monitor actually evaluated (inflated under SafeRegionFrac>0).
@@ -175,15 +178,15 @@ func runTraceEquivalence(t *testing.T, cfg Config) {
 				if err != nil {
 					t.Fatalf("tick %d: snapshot at evalCloak: %v", tick, err)
 				}
-				wantIDs := map[int64]bool{}
+				wantRects := map[int64]geom.Rect{}
 				for _, c := range wantCands {
 					if c.ID != w.exclude {
-						wantIDs[c.ID] = true
+						wantRects[c.ID] = c.Rect
 					}
 				}
-				if !sameIDSet(gotIDs, wantIDs) {
+				if !maps.Equal(gotRects, wantRects) || len(got) != len(gotRects) {
 					t.Fatalf("tick %d: watch %d (kind %d, data %v): maintained %d candidates != snapshot %d at evalCloak %v",
-						tick, w.id, w.kind, w.dataKind, len(gotIDs), len(wantIDs), q.evalCloak)
+						tick, w.id, w.kind, w.dataKind, len(got), len(wantRects), q.evalCloak)
 				}
 			}
 			// (b) inclusiveness for the asker's CURRENT cloak: sample
@@ -457,11 +460,13 @@ func TestConcurrentStripeStress(t *testing.T) {
 				c := randRegion(rng, 600)
 				var id QueryID
 				var err error
-				switch rng.Intn(3) {
+				switch rng.Intn(4) {
 				case 0:
 					id, _, err = m.RegisterNN(c, privacyqp.PublicData, privacyqp.DefaultOptions(), -1)
 				case 1:
 					id, _, err = m.RegisterRadius(c, 500, privacyqp.PrivateData, -1)
+				case 2:
+					id, _, err = m.RegisterNN(c, privacyqp.PrivateData, privacyqp.DefaultOptions(), 9000+int64(rng.Intn(50)))
 				default:
 					id, _, err = m.RegisterRangeCount(c, privacyqp.CountAnyOverlap)
 				}

@@ -1,7 +1,6 @@
 package continuous
 
 import (
-	"sort"
 	"sync"
 
 	"casper/internal/geom"
@@ -204,8 +203,8 @@ func (m *Monitor) publicTable() unionIndex  { return m.table(privacyqp.PublicDat
 
 // unionIndex presents the five per-stripe R-tree fragments of one
 // shadow table as a single privacyqp.SpatialIndex. Queries fan out to
-// every fragment and merge; this runs only on the (rare) evaluation
-// path — the per-update path never touches it.
+// the fragments and merge; this runs only on the evaluation path —
+// the per-update path never touches it.
 type unionIndex struct {
 	trees [numStripes]*rtree.Tree
 }
@@ -282,23 +281,46 @@ func (u unionIndex) NearestK(q geom.Point, k int, metric rtree.Metric) []rtree.N
 	return u.NearestKInto(q, k, metric, nil, nil)
 }
 
-// NearestKInto merges per-fragment k-nearest lists. Unlike the
-// single-tree fast path it allocates per fragment; acceptable because
-// only evaluations (not updates) reach it.
+// NearestKInto visits the fragments in order of their root MBRs'
+// min-dist to q and folds each into one top-k list with
+// NearestKMerge, stopping at the first fragment whose bound exceeds
+// the k-th best so far: the filter probes of an evaluation usually
+// touch one or two fragments, and none of them allocates once h and
+// out have grown.
 func (u unionIndex) NearestKInto(q geom.Point, k int, metric rtree.Metric, h *rtree.NNHeap, out []rtree.Neighbor) []rtree.Neighbor {
 	out = out[:0]
 	if k <= 0 {
 		return out
 	}
+	type frag struct {
+		bound float64
+		t     *rtree.Tree
+	}
+	var order [numStripes]frag
+	n := 0
 	for _, t := range u.trees {
-		if t == nil || t.Len() == 0 {
+		if t == nil {
 			continue
 		}
-		out = append(out, t.NearestKInto(q, k, metric, h, nil)...)
+		if b, ok := t.Bounds(); ok {
+			// Insertion sort: five fragments at most.
+			f := frag{q.MinDistRect(b), t}
+			i := n
+			for ; i > 0 && order[i-1].bound > f.bound; i-- {
+				order[i] = order[i-1]
+			}
+			order[i] = f
+			n++
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
-	if len(out) > k {
-		out = out[:k]
+	if h == nil {
+		h = &rtree.NNHeap{}
+	}
+	for _, f := range order[:n] {
+		if len(out) == k && f.bound > out[k-1].Dist {
+			break
+		}
+		out = f.t.NearestKMerge(q, k, metric, h, out)
 	}
 	return out
 }

@@ -96,7 +96,11 @@ type Result struct {
 	Candidates []rtree.Item
 	// AExt is the extended search area of Algorithm 2 step 3.
 	AExt geom.Rect
-	// Filters holds the filter objects chosen in step 1 (diagnostic).
+	// Filters holds the filter objects chosen in step 1. With
+	// FilterProbes they bound which data changes can alter the answer:
+	// the continuous monitor keeps a standing answer while no filter
+	// moves and no other target comes within a probe's nearest
+	// distance.
 	Filters []rtree.Item
 	// NNSearches is how many nearest-neighbor probes the filter step
 	// issued (equal to the number of distinct query anchors).
@@ -138,19 +142,19 @@ func PrivateNN(db SpatialIndex, cloak geom.Rect, kind DataKind, opt Options) (Re
 	// STEP 1 — the filter step: a filter object per vertex.
 	fsp := opt.Trace.StartSpan("query_filter")
 	corners := cloak.Corners()
+	probes, np := FilterProbes(cloak, opt.Filters)
+	var near [4]rtree.Item // nearest target per probe
+	for i := 0; i < np; i++ {
+		near[i] = nearest1(db, sc, probes[i], metric)
+	}
 	var res Result
+	res.NNSearches = np
 	filters := [4]rtree.Item{} // per corner index
 	switch opt.Filters {
 	case 4:
-		for i, v := range corners {
-			filters[i] = nearest1(db, sc, v, metric)
-			res.NNSearches++
-		}
+		filters = near
 	case 2:
-		// Two opposite corners: lower-left (0) and upper-right (3).
-		t0 := nearest1(db, sc, corners[0], metric)
-		t3 := nearest1(db, sc, corners[3], metric)
-		res.NNSearches = 2
+		t0, t3 := near[0], near[1]
 		filters[0], filters[3] = t0, t3
 		// The remaining corners adopt whichever of the two filters is
 		// closer to them (any assignment preserves inclusiveness; the
@@ -163,10 +167,8 @@ func PrivateNN(db SpatialIndex, cloak geom.Rect, kind DataKind, opt Options) (Re
 			}
 		}
 	case 1:
-		nb := nearest1(db, sc, cloak.Center(), metric)
-		res.NNSearches = 1
 		for i := range filters {
-			filters[i] = nb
+			filters[i] = near[0]
 		}
 	}
 	sc.filt = dedupeInto(sc.filt[:0], filters[:])
@@ -209,6 +211,23 @@ func PrivateNN(db SpatialIndex, cloak geom.Rect, kind DataKind, opt Options) (Re
 		rsp.End(trace.Int("candidates", int64(len(res.Candidates))))
 	}
 	return res, nil
+}
+
+// FilterProbes returns the points the filter step of PrivateNN probes
+// for its nearest targets: the four corners (filters 4), the
+// lower-left and upper-right corners (filters 2), or the center
+// (filters 1). n is 0 for any other filter count.
+func FilterProbes(cloak geom.Rect, filters int) (pts [4]geom.Point, n int) {
+	c := cloak.Corners()
+	switch filters {
+	case 4:
+		return c, 4
+	case 2:
+		return [4]geom.Point{c[0], c[3]}, 2
+	case 1:
+		return [4]geom.Point{cloak.Center()}, 1
+	}
+	return pts, 0
 }
 
 // edgeMaxD computes max_d for one cloak edge: the largest distance

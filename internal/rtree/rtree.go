@@ -549,19 +549,28 @@ func (t *Tree) NearestK(q geom.Point, k int, m Metric) []Neighbor {
 // they have grown to the working-set size. out is truncated to out[:0]
 // before use; the returned slice aliases its backing array.
 func (t *Tree) NearestKInto(q geom.Point, k int, m Metric, h *NNHeap, out []Neighbor) []Neighbor {
+	return t.nearestK(q, k, m, h, out[:0], true)
+}
+
+// NearestKMerge folds t's items into out, an ascending list of at most
+// k neighbors found elsewhere (say, the other fragments of a sharded
+// table), and returns the k nearest of both. The search starts pruned
+// at out's k-th distance, so a tree with nothing closer costs one root
+// comparison; on equal distances the entries already in out stay
+// ahead. h is reused as in NearestKInto, and the result aliases out's
+// backing array.
+func (t *Tree) NearestKMerge(q geom.Point, k int, m Metric, h *NNHeap, out []Neighbor) []Neighbor {
 	return t.nearestK(q, k, m, h, out, true)
 }
 
-// nearestK is the shared best-first search. When prune is set, leaf
-// items and child nodes whose metric distance (resp. min-dist lower
-// bound) already exceeds the current k-th best are never pushed: the
-// k-th best distance only decreases as results accumulate, so an entry
-// beyond it can never enter the final top k. The pruned and unpruned
+// nearestK is the shared best-first search, merging into the sorted
+// neighbors already in out. When prune is set, leaf items and child
+// nodes whose metric distance (resp. min-dist lower bound) already
+// exceeds the current k-th best are never pushed: the k-th best
+// distance only decreases as results accumulate, so an entry beyond
+// it can never enter the final top k. The pruned and unpruned
 // searches return identical results (asserted by TestNearestKPruning).
 func (t *Tree) nearestK(q geom.Point, k int, m Metric, h *NNHeap, out []Neighbor, prune bool) []Neighbor {
-	if out != nil {
-		out = out[:0]
-	}
 	if k <= 0 || t.size == 0 {
 		return out
 	}
@@ -570,6 +579,9 @@ func (t *Tree) nearestK(q geom.Point, k int, m Metric, h *NNHeap, out []Neighbor
 	}
 	h.reset()
 	kth := math.Inf(1)
+	if len(out) == k {
+		kth = out[k-1].Dist
+	}
 	h.push(nnEntry{dist: q.MinDistRect(t.root.mbr), node: t.root})
 	for h.Len() > 0 {
 		e := h.pop()
